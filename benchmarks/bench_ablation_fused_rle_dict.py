@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.compressor import compress_column
-from repro.core.decompressor import decompress_column, make_context, _decompress_node
+from repro.core.decompressor import decode_block, make_context
 from repro.types import Column, ColumnType, StringArray, columns_equal
 
 
 def _decompress_with(compressed, ctype, fuse: bool):
     ctx = make_context(vectorized=True, fuse_rle_dict=fuse)
-    return [_decompress_node(block.data, ctype, ctx) for block in compressed.blocks]
+    return [decode_block(block, ctype, ctx) for block in compressed.blocks]
 
 
 def _run_column(column):

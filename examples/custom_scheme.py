@@ -6,7 +6,9 @@ cascading compression that draws from a pool of arbitrary encoding schemes"
 (Section 3.2). This example adds a new scheme end to end:
 
 1. implement the ``Scheme`` interface (viability filter + compress +
-   decompress, cascading deltas into the integer pool);
+   decode, cascading deltas into the integer pool). ``decode`` is a plain
+   full decode: the library takes row selections and fills preallocated
+   columns for any scheme that leaves ``selective`` unset;
 2. register it;
 3. watch the sampling-based selector pick it for sorted data — with no
    changes to the selector, the cascade driver or the file format.
@@ -53,7 +55,7 @@ class DeltaInt(Scheme):
         writer.blob(ctx.compress_child(deltas, ColumnType.INTEGER))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         reader = Reader(payload)
         first = reader.i64()
         deltas = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)

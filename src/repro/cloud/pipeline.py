@@ -39,11 +39,8 @@ import numpy as np
 from repro.core.config import DEFAULT_SCAN_READAHEAD, DecodeLimits
 from repro.core.decompressor import (
     _EMPTY_DTYPES,
-    CorruptBlockResult,
     assemble_column,
-    assemble_column_preallocated,
     decode_block,
-    decode_block_into,
     make_context,
 )
 from repro.core.file_format import ColumnStreamParser, verify_block
@@ -292,8 +289,7 @@ def pipelined_fetch_column(
     decoder = None  # ProcessBlockDecoder when the process backend is active
     process_active = False
     submitted: "list[tuple]" = []  # (block, row_offset, entry_key) in flight
-    parts: "list[CorruptBlockResult | None]" = []
-    legacy_parts: list = []
+    parts: list = []
     total_rows = 0
     row_offset = 0
     block_index = 0
@@ -309,13 +305,12 @@ def pipelined_fetch_column(
             return decoder.view(start, count)
         return buffer[start : start + count]
 
-    def decode_inline(block, start: int, entry_key) -> None:
+    def decode_into(block, start: int, entry_key) -> None:
         out = out_slice(start, block.count)
-        part = decode_block_into(block, parser.column.ctype, ctx, out)
-        if part is None and entry_key is not None:
+        decode_block(block, parser.column.ctype, ctx, out=out)
+        if entry_key is not None:
             cache.put(entry_key, out)
         del out
-        parts.append(part)
 
     def process_fallback() -> None:
         """A worker died: re-decode every in-flight block in this process.
@@ -327,11 +322,7 @@ def pipelined_fetch_column(
         process_active = False
         get_registry().incr("parallel.backend.fallbacks")
         for block, start, entry_key in submitted:
-            out = out_slice(start, block.count)
-            part = decode_block_into(block, parser.column.ctype, ctx, out)
-            if part is None and entry_key is not None:
-                cache.put(entry_key, out)
-            del out
+            decode_into(block, start, entry_key)
         submitted.clear()
 
     own_executor = executor is None
@@ -391,29 +382,28 @@ def pipelined_fetch_column(
                     start = row_offset
                     row_offset += block.count
                     entry_key = None
+                    hit = False
                     if cache is not None and cache_key is not None and block.checksum is not None:
                         entry_key = (cache_key, block_index, block.checksum)
                         out = out_slice(start, block.count)
                         hit = cache.get_into(entry_key, out) and verify_block(block)
                         del out
-                        if hit:
-                            parts.append(None)
-                            block_index += 1
-                            continue
-                    if process_active:
+                    # Strict decode: errors raise (at drain, for the process
+                    # backend), so every block's rows land in the buffer.
+                    parts.append(None)
+                    if hit:
+                        pass  # the cache already filled the slice
+                    elif process_active:
                         try:
                             decoder.submit(block, start)
                             submitted.append((block, start, entry_key))
-                            parts.append(None)  # strict decode: errors raise at drain
                         except WorkerDiedError:
                             process_fallback()
-                            decode_inline(block, start, entry_key)
+                            decode_into(block, start, entry_key)
                     else:
-                        decode_inline(block, start, entry_key)
+                        decode_into(block, start, entry_key)
                 else:
-                    legacy_parts.append(
-                        decode_block(block, parser.column.ctype, ctx)
-                    )
+                    parts.append(decode_block(block, parser.column.ctype, ctx))
                 block_index += 1
             decode_times.append(time.perf_counter() - started)
 
@@ -438,17 +428,15 @@ def pipelined_fetch_column(
                 )
             if decoder is not None:
                 buffer = decoder.buffer_view()
-            column = assemble_column_preallocated(compressed, buffer, parts)
-            if decoder is not None:
-                data = column.data
-                if isinstance(data, np.ndarray) and not data.flags.owndata:
-                    # Still a view over the shared output segment — copy out
-                    # before the decoder unlinks it.
-                    column = Column(column.name, column.ctype, data.copy(), column.nulls)
-                del data
-                buffer = None
-        else:
-            column = assemble_column(compressed, legacy_parts)
+        column = assemble_column(compressed, parts, buffer)
+        if decoder is not None:
+            data = column.data
+            if isinstance(data, np.ndarray) and not data.flags.owndata:
+                # Still a view over the shared output segment — copy out
+                # before the decoder unlinks it.
+                column = Column(column.name, column.ctype, data.copy(), column.nulls)
+            del data
+            buffer = None
         if decode_times:
             decode_times[-1] += time.perf_counter() - started
         else:

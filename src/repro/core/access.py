@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedColumn
-from repro.core.decompressor import make_context, _decompress_node_filtered
+from repro.core.decompressor import decode_block, make_context
 from repro.encodings import strutil
-from repro.observe import get_registry
 from repro.types import Column, ColumnType, StringArray
 
 
@@ -41,7 +40,9 @@ def read_rows(
 
     Only blocks containing requested rows are touched, each at most once,
     and each decodes only its requested rows; results come back in the
-    order requested.
+    order requested. Each touched block is held to its stored CRC32 first,
+    exactly as a full decode would be (a mismatch raises
+    :class:`~repro.exceptions.IntegrityError`).
     """
     indices = np.asarray(row_indices, dtype=np.int64)
     offsets = np.asarray(_block_offsets(compressed), dtype=np.int64)
@@ -62,29 +63,15 @@ def read_rows(
     selections: dict[int, np.ndarray] = {}
     null_cache: dict[int, RoaringBitmap | None] = {}
     base = 0
-    rows_selected = 0
-    rows_total = 0
     for block_id in uniq_blocks:
         block = compressed.blocks[int(block_id)]
         sel = np.unique(local[block_ids == block_id])
         selections[int(block_id)] = sel
         bases[int(block_id)] = base
         base += int(sel.size)
-        rows_selected += int(sel.size)
-        rows_total += block.count
-        pools.append(
-            _decompress_node_filtered(block.data, compressed.ctype, ctx, sel)
-        )
+        pools.append(decode_block(block, compressed.ctype, ctx, sel=sel))
         null_cache[int(block_id)] = (
             RoaringBitmap.deserialize(block.nulls) if block.nulls else None
-        )
-    if uniq_blocks.size:
-        get_registry().incr_many(
-            [
-                ("query.cdomain.filtered.blocks", int(uniq_blocks.size)),
-                ("query.cdomain.filtered.rows_selected", rows_selected),
-                ("query.cdomain.filtered.rows_total", rows_total),
-            ]
         )
 
     rank = np.empty(indices.size, dtype=np.int64)

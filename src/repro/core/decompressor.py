@@ -31,7 +31,13 @@ from repro.core.config import DecodeLimits
 from repro.core.file_format import verify_block
 from repro.core.relation import Relation
 from repro.encodings import strutil
-from repro.encodings.base import DecompressionContext, Values, get_scheme
+from repro.encodings.base import (
+    DecompressionContext,
+    Values,
+    get_scheme,
+    take_values,
+    write_out,
+)
 from repro.encodings.wire import unwrap
 from repro.exceptions import (
     BtrBlocksError,
@@ -47,13 +53,30 @@ from repro.types import Column, ColumnType, StringArray
 ON_CORRUPT_MODES = ("raise", "skip", "null_block")
 
 
-def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
+def _decompress_node(
+    blob: bytes,
+    ctype: ColumnType,
+    ctx: DecompressionContext,
+    sel: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
+) -> Values:
+    """Decode one framed cascade node: the untrusted-input gate.
+
+    ``sel`` and ``out`` follow :meth:`~repro.encodings.base.Scheme.decode`.
+    The wire header's count is what schemes size their output allocations
+    from, at every cascade level, so it and the payload size are bounded
+    before any scheme code runs. ``sel`` is held to the declared count too:
+    inner cascade levels *derive* child selections from decoded geometry
+    (RLE run ends, frequency bitmaps), and corrupt geometry must surface as
+    a typed error here, not as an out-of-bounds crash inside a kernel.
+    ``out`` must hold exactly the requested rows, so a lying header cannot
+    smuggle a different row count into reassembly. Schemes are then held to
+    the length they were asked for. A scheme that is not ``selective`` (and
+    every scheme on the scalar path) decodes fully, and the gate applies
+    ``sel`` and ``out`` itself. On failure ``out`` may hold partial data;
+    callers degrade or re-raise, never read it.
+    """
     scheme_id, count, payload = unwrap(blob)
-    # Untrusted-input gate: the wire header's count is what schemes size
-    # their output allocations from, at every cascade level. Bound it (and
-    # the payload) before any scheme code runs, and hold schemes to their
-    # declared count afterwards so a lying header cannot smuggle a
-    # different row count into reassembly.
     if count > ctx.limits.max_rows_per_block:
         raise DecodeLimitError(
             f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
@@ -63,13 +86,28 @@ def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) 
             f"block payload of {len(payload)} bytes exceeds limit "
             f"{ctx.limits.max_bytes_per_block}"
         )
+    wanted = count
+    if sel is not None:
+        sel = np.asarray(sel, dtype=np.int64)
+        if sel.size and (int(sel[0]) < 0 or int(sel[-1]) >= count):
+            raise CorruptBlockError(
+                f"selection rows span [{int(sel[0])}, {int(sel[-1])}] "
+                f"but the block declares {count} values"
+            )
+        wanted = sel.size
+    if out is not None and len(out) != wanted:
+        raise FormatError(f"block yields {wanted} values but its slot holds {len(out)}")
     scheme = get_scheme(scheme_id)
     if scheme.ctype is not ctype:
         raise TypeMismatchError(
             f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
         )
+    native = scheme.selective and ctx.vectorized
     try:
-        values = scheme.decompress(payload, count, ctx)
+        if native:
+            values = scheme.decode(payload, count, ctx, sel, out)
+        else:
+            values = scheme.decode(payload, count, ctx)
     except (BtrBlocksError, MemoryError):
         raise
     except Exception as exc:
@@ -80,102 +118,15 @@ def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) 
         raise CorruptBlockError(
             f"{scheme.name} failed on malformed payload: {exc!r}"
         ) from exc
-    if len(values) != count:
+    if len(values) != (wanted if native else count):
         raise FormatError(
             f"block declared {count} values but {scheme.name} decoded {len(values)}"
         )
-    return values
-
-
-def _decompress_node_into(
-    blob: bytes, ctype: ColumnType, ctx: DecompressionContext, out: np.ndarray
-) -> None:
-    """Zero-copy variant of :func:`_decompress_node`: decode into ``out``.
-
-    Applies the same untrusted-input gates, then dispatches to the scheme's
-    ``decompress_into``. ``out`` is a writable view of exactly the declared
-    value count; a header whose count disagrees with the slot is rejected
-    *before* any scheme code runs (the legacy path detects the same
-    corruption after decoding, as a length mismatch). On failure ``out``
-    may hold partial data — callers degrade or re-raise, never read it.
-    """
-    scheme_id, count, payload = unwrap(blob)
-    if count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
-        )
-    if len(payload) > ctx.limits.max_bytes_per_block:
-        raise DecodeLimitError(
-            f"block payload of {len(payload)} bytes exceeds limit "
-            f"{ctx.limits.max_bytes_per_block}"
-        )
-    if count != len(out):
-        raise FormatError(
-            f"block declared {count} values but its slot holds {len(out)}"
-        )
-    scheme = get_scheme(scheme_id)
-    if scheme.ctype is not ctype:
-        raise TypeMismatchError(
-            f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
-        )
-    try:
-        scheme.decompress_into(payload, count, ctx, out)
-    except (BtrBlocksError, MemoryError):
-        raise
-    except Exception as exc:
-        raise CorruptBlockError(
-            f"{scheme.name} failed on malformed payload: {exc!r}"
-        ) from exc
-
-
-def _decompress_node_filtered(
-    blob: bytes, ctype: ColumnType, ctx: DecompressionContext, positions: np.ndarray
-) -> Values:
-    """Selection-vector variant of :func:`_decompress_node`.
-
-    ``positions`` are the sorted unique row indices to materialise, each in
-    ``[0, declared count)``. The same untrusted-input gates run first — the
-    positions themselves are held to the declared count, because inner
-    cascade levels *derive* child positions from decoded geometry (RLE run
-    ends, frequency bitmaps) and corrupt geometry must surface as a typed
-    error here, not as an out-of-bounds crash inside a kernel. Schemes then
-    decode only what the selection needs.
-    """
-    scheme_id, count, payload = unwrap(blob)
-    if count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
-        )
-    if len(payload) > ctx.limits.max_bytes_per_block:
-        raise DecodeLimitError(
-            f"block payload of {len(payload)} bytes exceeds limit "
-            f"{ctx.limits.max_bytes_per_block}"
-        )
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size and (int(positions[0]) < 0 or int(positions[-1]) >= count):
-        raise CorruptBlockError(
-            f"selection rows span [{int(positions[0])}, {int(positions[-1])}] "
-            f"but the block declares {count} values"
-        )
-    scheme = get_scheme(scheme_id)
-    if scheme.ctype is not ctype:
-        raise TypeMismatchError(
-            f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
-        )
-    try:
-        values = scheme.decompress_filtered(payload, count, ctx, positions)
-    except (BtrBlocksError, MemoryError):
-        raise
-    except Exception as exc:
-        raise CorruptBlockError(
-            f"{scheme.name} failed on malformed payload: {exc!r}"
-        ) from exc
-    if len(values) != positions.size:
-        raise FormatError(
-            f"selection asked for {positions.size} values but {scheme.name} "
-            f"decoded {len(values)}"
-        )
-    return values
+    if native:
+        return values
+    if sel is not None:
+        values = take_values(values, sel)
+    return write_out(values, out)
 
 
 #: Contexts are immutable and stateless, so default-limit ones are shared.
@@ -195,8 +146,6 @@ def make_context(
                 _decompress_node,
                 vectorized=vectorized,
                 fuse_rle_dict=fuse_rle_dict,
-                decompress_into_fn=_decompress_node_into,
-                decompress_filtered_fn=_decompress_node_filtered,
             )
             _DEFAULT_CONTEXTS[(vectorized, fuse_rle_dict)] = ctx
         return ctx
@@ -205,8 +154,6 @@ def make_context(
         vectorized=vectorized,
         fuse_rle_dict=fuse_rle_dict,
         limits=limits,
-        decompress_into_fn=_decompress_node_into,
-        decompress_filtered_fn=_decompress_node_filtered,
     )
 
 
@@ -235,7 +182,8 @@ class CorruptBlockResult:
 
     ``emitted`` is the number of rows the block will contribute to the
     reassembled column: 0 under ``"skip"``, the block's declared value
-    count under ``"null_block"`` (all of them NULL placeholders).
+    count (or the selection's length) under ``"null_block"``, all of them
+    NULL placeholders.
     """
 
     emitted: int
@@ -249,15 +197,23 @@ def decode_block(
     block: CompressedBlock,
     ctype: ColumnType,
     ctx: DecompressionContext,
+    sel: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
     on_corrupt: str = "raise",
 ) -> "Values | CorruptBlockResult":
     """Decode one compressed block's values (the unit of parallel fan-out).
 
-    Verifies the block's stored CRC32 (when present) first; damage is
-    raised as :class:`IntegrityError` or turned into a
-    :class:`CorruptBlockResult` per ``on_corrupt``. Records no metrics;
-    per-column totals are accounted once by :func:`assemble_column` so
-    sequential and parallel runs produce identical counters.
+    ``sel`` (sorted unique block-local rows) materialises only those rows;
+    ``out`` (one slot per returned value, typically a slice of a column
+    preallocated by :func:`preallocate_column`) receives them and is
+    returned. Verifies the block's stored CRC32 (when present) first;
+    damage is raised as :class:`IntegrityError` or turned into a
+    :class:`CorruptBlockResult` per ``on_corrupt``. A ``null_block`` result
+    stands for as many NULL rows as the call asked for, and zero-fills
+    ``out``. Records ``query.cdomain.filtered.*`` counters for selections
+    (rows decoded vs the block's total); per-column ``decompress.*`` totals
+    are accounted once by :func:`assemble_column`, so sequential and
+    parallel runs produce identical counters.
     """
     if on_corrupt not in ON_CORRUPT_MODES:
         raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
@@ -269,117 +225,42 @@ def decode_block(
             f"block declares {block.count} values, limit is "
             f"{ctx.limits.max_rows_per_block}"
         )
+    wanted = block.count
+    if sel is not None:
+        sel = np.asarray(sel, dtype=np.int64)
+        wanted = sel.size
+        get_registry().incr_many(
+            [
+                ("query.cdomain.filtered.blocks", 1),
+                ("query.cdomain.filtered.rows_selected", wanted),
+                ("query.cdomain.filtered.rows_total", block.count),
+            ]
+        )
     if not verify_block(block):
         if on_corrupt == "raise":
             raise IntegrityError(
                 f"block of {block.count} values: payload does not match stored CRC32"
             )
-        return CorruptBlockResult(block.count if on_corrupt == "null_block" else 0)
-    if on_corrupt == "raise":
-        return _decompress_node(block.data, ctype, ctx)
+        return _degraded(on_corrupt, wanted, out, "checksum mismatch")
     try:
-        return _decompress_node(block.data, ctype, ctx)
+        return _decompress_node(block.data, ctype, ctx, sel, out)
     except BtrBlocksError:
+        if on_corrupt == "raise":
+            raise
         # Checksum-less (v1 / in-memory) blocks can only reveal damage by
         # failing to parse; degrade those the same way.
-        return CorruptBlockResult(
-            block.count if on_corrupt == "null_block" else 0, reason="decode failure"
-        )
+        return _degraded(on_corrupt, wanted, out, "decode failure")
 
 
-def decode_block_filtered(
-    block: CompressedBlock,
-    ctype: ColumnType,
-    ctx: DecompressionContext,
-    positions: np.ndarray,
-    on_corrupt: str = "raise",
-) -> "Values | CorruptBlockResult":
-    """Decode only the rows at ``positions`` (sorted unique, block-local).
-
-    The selection-vector analog of :func:`decode_block`: identical CRC32
-    verification order, error types and degrade semantics, but schemes
-    decode only what the selection needs — RLE touches only matching runs,
-    dictionaries gather only selected codes, bit-packing unpacks only pages
-    holding selected rows. A degraded damaged block emits ``len(positions)``
-    NULL placeholders under ``"null_block"`` and nothing under ``"skip"``.
-    Records ``query.cdomain.filtered.*`` counters (rows decoded vs the
-    block's total) so selectivity scaling is observable.
-    """
-    if on_corrupt not in ON_CORRUPT_MODES:
-        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
-    positions = np.asarray(positions, dtype=np.int64)
-    get_registry().incr_many(
-        [
-            ("query.cdomain.filtered.blocks", 1),
-            ("query.cdomain.filtered.rows_selected", int(positions.size)),
-            ("query.cdomain.filtered.rows_total", block.count),
-        ]
-    )
-    if not verify_block(block):
-        if on_corrupt == "raise":
-            raise IntegrityError(
-                f"block of {block.count} values: payload does not match stored CRC32"
-            )
-        return CorruptBlockResult(positions.size if on_corrupt == "null_block" else 0)
-    if on_corrupt == "raise":
-        return _decompress_node_filtered(block.data, ctype, ctx, positions)
-    try:
-        return _decompress_node_filtered(block.data, ctype, ctx, positions)
-    except BtrBlocksError:
-        return CorruptBlockResult(
-            positions.size if on_corrupt == "null_block" else 0, reason="decode failure"
-        )
-
-
-def decode_block_into(
-    block: CompressedBlock,
-    ctype: ColumnType,
-    ctx: DecompressionContext,
-    out: np.ndarray,
-    on_corrupt: str = "raise",
-) -> "CorruptBlockResult | None":
-    """Zero-copy variant of :func:`decode_block`: decode into ``out``.
-
-    ``out`` is a writable slice of the preallocated column array holding
-    exactly ``block.count`` elements. Returns ``None`` on success (the slice
-    is fully written) or a :class:`CorruptBlockResult` under a degrade
-    policy — a ``null_block`` result leaves the slice zero-filled (the NULL
-    placeholder), a ``skip`` result leaves it unspecified (the assembly
-    compaction pass drops it). Identical verification order, error types and
-    degrade semantics to :func:`decode_block`; records no metrics.
-    """
-    if on_corrupt not in ON_CORRUPT_MODES:
-        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
-    if not verify_block(block):
-        if on_corrupt == "raise":
-            raise IntegrityError(
-                f"block of {block.count} values: payload does not match stored CRC32"
-            )
-        if on_corrupt == "null_block":
-            out[:] = 0
-            return CorruptBlockResult(block.count)
-        return CorruptBlockResult(0)
-    if on_corrupt == "raise":
-        _decompress_node_into(block.data, ctype, ctx, out)
-        return None
-    try:
-        _decompress_node_into(block.data, ctype, ctx, out)
-        return None
-    except BtrBlocksError:
-        if on_corrupt == "null_block":
-            out[:] = 0  # overwrite any partial decode with the NULL placeholder
-            return CorruptBlockResult(block.count, reason="decode failure")
-        return CorruptBlockResult(0, reason="decode failure")
+def _degraded(
+    on_corrupt: str, wanted: int, out: "np.ndarray | None", reason: str
+) -> CorruptBlockResult:
+    """The degrade-policy result for a damaged block."""
+    if on_corrupt == "skip":
+        return CorruptBlockResult(0, reason)
+    if out is not None:
+        out[:] = 0  # overwrite any partial decode with the NULL placeholder
+    return CorruptBlockResult(wanted, reason)
 
 
 def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
@@ -387,67 +268,6 @@ def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
     if ctype is ColumnType.STRING:
         return StringArray.from_pylist([""] * count)
     return np.zeros(count, dtype=_EMPTY_DTYPES[ctype])
-
-
-def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptBlockResult]") -> Column:
-    """Reassemble decoded block values (in block order) into a column.
-
-    Rebases per-block NULL positions to column offsets, concatenates the
-    value parts, and records the column's decompression counters. An empty
-    column keeps its logical dtype (int32 / float64) rather than decaying
-    to NumPy's default float64. :class:`CorruptBlockResult` parts (degraded
-    damaged blocks) contribute either nothing (``skip``) or an all-NULL run
-    of their declared length (``null_block``); later blocks' NULL positions
-    are rebased onto the actually-emitted row offsets.
-    """
-    registry = get_registry()
-    null_positions: list[np.ndarray] = []
-    value_parts: list[Values] = []
-    offset = 0
-    corrupt_blocks = 0
-    corrupt_rows = 0
-    checksummed = 0
-    for block, part in zip(compressed.blocks, parts):
-        if isinstance(part, CorruptBlockResult):
-            corrupt_blocks += 1
-            corrupt_rows += block.count
-            if part.emitted:
-                null_positions.append(np.arange(offset, offset + part.emitted, dtype=np.int64))
-                value_parts.append(_null_block_placeholder(compressed.ctype, part.emitted))
-                offset += part.emitted
-            continue
-        if block.checksum is not None:
-            checksummed += 1
-        if block.nulls is not None:
-            positions = RoaringBitmap.deserialize(block.nulls).to_array()
-            if positions.size:
-                null_positions.append(positions.astype(np.int64) + offset)
-        value_parts.append(part)
-        offset += block.count
-    counters = [
-        ("decompress.columns", 1),
-        ("decompress.blocks", len(compressed.blocks)),
-        ("decompress.rows", offset),
-        ("decompress.input_bytes", compressed.nbytes),
-    ]
-    if checksummed:
-        counters.append(("decompress.checksum_verified", checksummed))
-    if corrupt_blocks:
-        counters.append(("decompress.corrupt_blocks", corrupt_blocks))
-        counters.append(("decompress.corrupt_rows", corrupt_rows))
-    registry.incr_many(counters)
-    nulls = None
-    if null_positions:
-        nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
-    if compressed.ctype is ColumnType.STRING:
-        data: Values = strutil.concat([p for p in value_parts if isinstance(p, StringArray)])
-    else:
-        arrays = [np.asarray(p) for p in value_parts if len(p)]
-        if arrays:
-            data = np.concatenate(arrays)
-        else:
-            data = np.empty(0, dtype=_EMPTY_DTYPES[compressed.ctype])
-    return Column(compressed.name, compressed.ctype, data, nulls)
 
 
 def preallocate_column(
@@ -486,60 +306,65 @@ def preallocate_column(
     return np.frombuffer(buffer, dtype=dtype, count=total)
 
 
-def assemble_column_preallocated(
+def assemble_column(
     compressed: CompressedColumn,
-    data: np.ndarray,
-    parts: "list[CorruptBlockResult | None]",
+    parts: list,
+    data: "np.ndarray | None" = None,
 ) -> Column:
-    """Finish a zero-copy column decode: nulls, compaction, counters.
+    """Reassemble decoded block values (in block order) into a column.
 
-    ``data`` is the preallocated array whose fixed per-block slices
-    :func:`decode_block_into` already filled; ``parts`` holds one entry per
-    block — ``None`` for a successful decode, :class:`CorruptBlockResult`
-    for a degraded one. Rebases NULL positions exactly like
-    :func:`assemble_column` and records the identical counters. Skipped
-    blocks leave holes that are compacted by shifting later segments down
-    (rare: only under ``on_corrupt="skip"`` with actual damage), after
-    which the array is trimmed to the emitted row count.
+    Rebases per-block NULL positions to column offsets, assembles the
+    values and records the column's decompression counters.
+    :class:`CorruptBlockResult` parts (degraded damaged blocks) contribute
+    either nothing (``skip``) or an all-NULL run of their declared length
+    (``null_block``); later blocks' NULL positions are rebased onto the
+    actually-emitted row offsets.
+
+    Without ``data`` the parts are the decoded values and are concatenated;
+    an empty column keeps its logical dtype (int32 / float64) rather than
+    decaying to NumPy's default float64. ``data`` is instead the
+    preallocated array whose fixed per-block slices the blocks were decoded
+    into; any part but a :class:`CorruptBlockResult` then only marks its
+    slice as filled. Skipped blocks leave holes that are compacted by
+    shifting later segments down (rare: only under ``on_corrupt="skip"``
+    with actual damage), after which the array is trimmed to the emitted
+    row count.
     """
     registry = get_registry()
     null_positions: list[np.ndarray] = []
-    write_offset = 0
-    read_offset = 0
+    value_parts: list[Values] = []
+    offset = 0  # rows emitted so far
+    slot = 0  # start of the current block's slice of ``data``
     corrupt_blocks = 0
     corrupt_rows = 0
     checksummed = 0
     for block, part in zip(compressed.blocks, parts):
-        if part is not None:
+        if isinstance(part, CorruptBlockResult):
             corrupt_blocks += 1
             corrupt_rows += block.count
-            if part.emitted:
-                if write_offset != read_offset:
-                    data[write_offset : write_offset + part.emitted] = data[
-                        read_offset : read_offset + part.emitted
-                    ]
-                null_positions.append(
-                    np.arange(write_offset, write_offset + part.emitted, dtype=np.int64)
-                )
-                write_offset += part.emitted
-            read_offset += block.count
-            continue
-        if block.checksum is not None:
-            checksummed += 1
-        if block.nulls is not None:
-            positions = RoaringBitmap.deserialize(block.nulls).to_array()
-            if positions.size:
-                null_positions.append(positions.astype(np.int64) + write_offset)
-        if write_offset != read_offset:
-            data[write_offset : write_offset + block.count] = data[
-                read_offset : read_offset + block.count
-            ]
-        write_offset += block.count
-        read_offset += block.count
+            emitted = part.emitted
+            if emitted:
+                null_positions.append(np.arange(offset, offset + emitted, dtype=np.int64))
+                if data is None:
+                    value_parts.append(_null_block_placeholder(compressed.ctype, emitted))
+        else:
+            emitted = block.count
+            if block.checksum is not None:
+                checksummed += 1
+            if block.nulls is not None:
+                positions = RoaringBitmap.deserialize(block.nulls).to_array()
+                if positions.size:
+                    null_positions.append(positions.astype(np.int64) + offset)
+            if data is None:
+                value_parts.append(part)
+        if data is not None and emitted and offset != slot:
+            data[offset : offset + emitted] = data[slot : slot + emitted]
+        offset += emitted
+        slot += block.count
     counters = [
         ("decompress.columns", 1),
         ("decompress.blocks", len(compressed.blocks)),
-        ("decompress.rows", write_offset),
+        ("decompress.rows", offset),
         ("decompress.input_bytes", compressed.nbytes),
     ]
     if checksummed:
@@ -551,8 +376,17 @@ def assemble_column_preallocated(
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
-    if write_offset != data.size:
-        data = data[:write_offset].copy()
+    if data is not None:
+        if offset != data.size:
+            data = data[:offset].copy()
+    elif compressed.ctype is ColumnType.STRING:
+        data = strutil.concat([p for p in value_parts if isinstance(p, StringArray)])
+    else:
+        arrays = [np.asarray(p) for p in value_parts if len(p)]
+        if arrays:
+            data = np.concatenate(arrays)
+        else:
+            data = np.empty(0, dtype=_EMPTY_DTYPES[compressed.ctype])
     return Column(compressed.name, compressed.ctype, data, nulls)
 
 
@@ -567,8 +401,8 @@ def decompress_column(
     """Reassemble a full column from its compressed blocks.
 
     Numeric columns take the zero-copy path: one allocation sized from the
-    block headers, every block decoding straight into its slice. Strings
-    and the scalar ablation keep the legacy per-block assembly.
+    block headers, every block decoding straight into its slice. String
+    columns keep per-block parts and one concatenation.
 
     With a :class:`~repro.core.cache.DecodeCache` and a ``cache_key``
     identifying this column's bytes (object key + version for remote
@@ -579,21 +413,18 @@ def decompress_column(
     never mask fresh corruption.
     """
     ctx = make_context(vectorized, limits=limits)
-    if not vectorized or compressed.ctype is ColumnType.STRING:
-        with get_registry().timer("decompress"):
-            parts = [
-                decode_block(block, compressed.ctype, ctx, on_corrupt=on_corrupt)
-                for block in compressed.blocks
-            ]
-        return assemble_column(compressed, parts)
-    use_cache = cache is not None and cache_key is not None
-    with get_registry().timer("decompress"):
+    data = None
+    if compressed.ctype is not ColumnType.STRING:
         data = preallocate_column(compressed, ctx.limits)
+    use_cache = data is not None and cache is not None and cache_key is not None
+    with get_registry().timer("decompress"):
+        parts = []
         offset = 0
-        results: list[CorruptBlockResult | None] = []
         for index, block in enumerate(compressed.blocks):
-            out = data[offset : offset + block.count]
-            offset += block.count
+            out = None
+            if data is not None:
+                out = data[offset : offset + block.count]
+                offset += block.count
             key = None
             if use_cache and block.checksum is not None:
                 key = (cache_key, index, block.checksum)
@@ -601,15 +432,13 @@ def decompress_column(
                 # hand to its CRC: a hit may never mask fresh damage, and a
                 # miss must not pay the checksum twice (decode verifies it).
                 if cache.get_into(key, out) and verify_block(block):
-                    results.append(None)
+                    parts.append(out)
                     continue
-            part = decode_block_into(
-                block, compressed.ctype, ctx, out, on_corrupt=on_corrupt
-            )
-            if part is None and key is not None:
+            part = decode_block(block, compressed.ctype, ctx, out=out, on_corrupt=on_corrupt)
+            if key is not None and not isinstance(part, CorruptBlockResult):
                 cache.put(key, out)
-            results.append(part)
-    return assemble_column_preallocated(compressed, data, results)
+            parts.append(part)
+    return assemble_column(compressed, parts, data)
 
 
 def decompress_relation(
@@ -630,10 +459,7 @@ __all__ = [
     "CorruptBlockResult",
     "ON_CORRUPT_MODES",
     "assemble_column",
-    "assemble_column_preallocated",
     "decode_block",
-    "decode_block_filtered",
-    "decode_block_into",
     "decompress_block",
     "decompress_column",
     "decompress_relation",

@@ -88,56 +88,32 @@ class DecompressionContext:
 
     def __init__(
         self,
-        decompress_fn: Callable[[bytes, ColumnType, "DecompressionContext"], Values],
+        decompress_fn: "Callable[..., Values]",
         vectorized: bool = True,
         fuse_rle_dict: bool = True,
         limits: "DecodeLimits | None" = None,
-        decompress_into_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], None] | None" = None,
-        decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values] | None" = None,
     ) -> None:
         from repro.core.config import DEFAULT_DECODE_LIMITS
 
         self._decompress_fn = decompress_fn
-        self._decompress_into_fn = decompress_into_fn
-        self._decompress_filtered_fn = decompress_filtered_fn
         self.vectorized = vectorized
         self.fuse_rle_dict = fuse_rle_dict
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS
 
-    def decompress_child(self, blob: bytes, ctype: ColumnType) -> Values:
-        return self._decompress_fn(blob, ctype, self)
-
-    def decompress_child_into(self, blob: bytes, ctype: ColumnType, out: np.ndarray) -> None:
-        """Decode a child sequence directly into the ``out`` view.
-
-        Cascades the zero-copy path one level deeper when the context was
-        built with an into-dispatcher; otherwise decodes normally and copies
-        (one intermediate, same bytes).
-        """
-        if self._decompress_into_fn is not None:
-            self._decompress_into_fn(blob, ctype, self, out)
-            return
-        values = self._decompress_fn(blob, ctype, self)
-        if len(values) != len(out):
-            raise FormatError(
-                f"child block decoded {len(values)} values into a {len(out)}-value slot"
-            )
-        np.copyto(out, np.asarray(values), casting="unsafe")
-
-    def decompress_child_filtered(
-        self, blob: bytes, ctype: ColumnType, positions: np.ndarray
+    def decompress_child(
+        self,
+        blob: bytes,
+        ctype: ColumnType,
+        sel: "np.ndarray | None" = None,
+        out: "np.ndarray | None" = None,
     ) -> Values:
-        """Decode only the child values at sorted row ``positions``.
+        """Decode a cascaded child sequence, one level deeper.
 
-        Cascades the selection vector one level deeper when the context was
-        built with a filtered dispatcher (so e.g. dictionary codes packed
-        with FastBP128 unpack only the pages that hold selected rows);
-        otherwise decodes the child fully and takes the positions.
+        ``sel`` and ``out`` mean what they mean for :meth:`Scheme.decode`;
+        the selection cascades, so e.g. dictionary codes packed with
+        FastBP128 unpack only the pages that hold selected rows.
         """
-        if self._decompress_filtered_fn is not None:
-            return self._decompress_filtered_fn(blob, ctype, self, positions)
-        values = self._decompress_fn(blob, ctype, self)
-        return take_values(values, positions)
+        return self._decompress_fn(blob, ctype, self, sel, out)
 
 
 class Scheme(ABC):
@@ -157,6 +133,10 @@ class Scheme(ABC):
     #: e.g. FSST only makes sense on raw string data, not on dictionaries that
     #: the dictionary scheme already FSST-compresses itself).
     cascade_only_top_level: bool = False
+    #: True when :meth:`decode` applies ``sel`` and ``out`` itself: RLE
+    #: decodes only the runs a selection touches, dictionaries gather only
+    #: selected codes, bit-packing unpacks only the pages holding them.
+    selective: bool = False
 
     def is_viable(self, stats: "Stats", config: "BtrBlocksConfig") -> bool:
         """Cheap statistics-based filter (paper step 2). Default: viable."""
@@ -192,8 +172,29 @@ class Scheme(ABC):
         """Compress values to a payload (header framing is the caller's job)."""
 
     @abstractmethod
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> Values:
-        """Inverse of :meth:`compress`; must return bitwise-identical values."""
+    def decode(
+        self,
+        payload: bytes,
+        count: int,
+        ctx: DecompressionContext,
+        sel: "np.ndarray | None" = None,
+        out: "np.ndarray | None" = None,
+    ) -> Values:
+        """Inverse of :meth:`compress`; must return bitwise-identical values.
+
+        This is the one decode contract. ``sel`` (sorted, unique, in
+        ``[0, count)``) asks for only those rows, in order; ``out`` (a
+        writable int32 / float64 view with one slot per returned value) is
+        filled and returned instead of a fresh array. Either way
+        ``decode(payload, count, ctx, sel) == take(decode(payload, count,
+        ctx), sel)`` bit for bit.
+
+        The node gate checks ``sel`` and ``out`` against the declared count
+        and passes them only to :attr:`selective` schemes, and only on the
+        vectorised path. Every other call is a plain full decode, so a
+        scheme without a selection kernel may define
+        ``decode(payload, count, ctx)`` and let the gate take and copy.
+        """
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -211,46 +212,6 @@ class Scheme(ABC):
         """
         return None
 
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> Values:
-        """Decode only the values at ``positions`` (sorted, unique, in
-        ``[0, count)``), returning them in position order.
-
-        This is the selection-vector partial-decode surface: RLE decodes only
-        the runs that intersect the selection, dictionaries gather only the
-        selected codes, bit-packing unpacks only the pages containing
-        selected rows. The default decodes fully and takes — bit-identical,
-        no savings — so every scheme participates correctly and only hot
-        schemes need a real kernel.
-        """
-        values = self.decompress(payload, count, ctx)
-        if len(values) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(values)}"
-            )
-        return take_values(values, positions)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        """Decode ``count`` values directly into the NumPy view ``out``.
-
-        ``out`` is a writable view of exactly ``count`` elements with the
-        column's logical dtype (int32 / float64) — typically a slice of a
-        preallocated column array. The default decodes via
-        :meth:`decompress` and copies, which is already zero-intermediate
-        for schemes whose decode is a buffer view (Uncompressed); schemes
-        with a cheaper direct path (fill, gather, repeat) override it.
-        Only numeric schemes participate; strings always assemble legacy.
-        """
-        values = self.decompress(payload, count, ctx)
-        if len(values) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(values)}"
-            )
-        np.copyto(out, np.asarray(values), casting="unsafe")
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} id={self.scheme_id} {self.ctype.value}>"
 
@@ -262,6 +223,16 @@ def take_values(values: Values, positions: np.ndarray) -> Values:
 
         return strutil.gather(values, np.asarray(positions, dtype=np.int64))
     return np.asarray(values)[positions]
+
+
+def write_out(values: np.ndarray, out: "np.ndarray | None") -> np.ndarray:
+    """``values``, or ``values`` copied into the destination ``out``."""
+    if out is None:
+        return values
+    if len(values) != len(out):
+        raise FormatError(f"decoded {len(values)} values into a {len(out)}-value slot")
+    np.copyto(out, values, casting="unsafe")
+    return out
 
 
 def _sample_nbytes(values: Values) -> int:

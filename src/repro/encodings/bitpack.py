@@ -34,6 +34,7 @@ from repro.encodings.base import (
     Scheme,
     SchemeId,
     register_scheme,
+    write_out,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError
@@ -287,12 +288,69 @@ def unpack_pages_scalar(payload: bytes, widths: np.ndarray) -> np.ndarray:
     return out
 
 
+def decode_pages(
+    packed: bytes,
+    refs: np.ndarray,
+    widths: np.ndarray,
+    count: int,
+    ctx: DecompressionContext,
+    sel: "np.ndarray | None",
+    out: "np.ndarray | None",
+    patch=None,
+) -> np.ndarray:
+    """Decode page-packed int32 values (FastBP128 and FastPFOR).
+
+    Without ``sel`` every page unpacks; with it only the pages holding
+    selected rows do, so the cost scales with the selection. ``patch(deltas,
+    pages)``, when given, writes exceptions into the unpacked deltas of
+    ``pages`` (``None``: every page) before the references are added.
+    """
+    pages = page_ids = None
+    if sel is None:
+        unpack = unpack_pages if ctx.vectorized else unpack_pages_scalar
+        deltas = unpack(packed, widths)
+    else:
+        if sel.size == 0:
+            return write_out(np.empty(0, dtype=np.int32), out)
+        if refs.size != widths.size:
+            raise CorruptBlockError(
+                f"bit-packed header declares {refs.size} references for {widths.size} pages"
+            )
+        page_ids = sel // PAGE
+        pages = np.unique(page_ids)
+        if widths.size <= int(pages[-1]):
+            raise CorruptBlockError(
+                f"bit-packed pages hold {widths.size * PAGE} values, row {int(sel[-1])} selected"
+            )
+        deltas = unpack_pages_subset(packed, widths, pages)
+    if patch is not None:
+        patch(deltas, pages)
+    # uint64 addition wraps mod 2^64 and the final int32 cast is modular
+    # too, so adding the (two's-complement) refs in place is bit-identical
+    # to widening every delta to int64 first — without the extra pass.
+    # ``casting="unsafe"`` applies the same modular int32 -> uint64 cast
+    # as ``refs.astype(np.uint64)`` without materialising the temporary.
+    page_refs = refs if pages is None else refs[pages]
+    np.add(deltas, page_refs[:, None], out=deltas, casting="unsafe")
+    if sel is not None:
+        rows = np.searchsorted(pages, page_ids)
+        return write_out(deltas[rows, sel % PAGE].astype(np.int32), out)
+    values = deltas.reshape(-1)
+    if values.size < count:
+        raise CorruptBlockError(f"bit-packed pages hold {values.size} values, {count} declared")
+    if out is None:
+        return values[:count].astype(np.int32)
+    np.copyto(out, values[:count], casting="unsafe")
+    return out
+
+
 class FastBP128(Scheme):
     """Per-page frame-of-reference + bit-packing for int32 data."""
 
     scheme_id = SchemeId.FAST_BP128
     name = "fastbp128"
     ctype = ColumnType.INTEGER
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0
@@ -306,36 +364,13 @@ class FastBP128(Scheme):
         writer.blob(pack_pages(deltas, widths))
         return writer.getvalue()
 
-    def _decode_pages(self, payload: bytes, ctx: DecompressionContext):
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> np.ndarray:
         reader = Reader(payload)
         refs = reader.array()
         widths = reader.array()
-        packed = reader.blob()
-        if ctx.vectorized:
-            deltas = unpack_pages(packed, widths)
-        else:
-            deltas = unpack_pages_scalar(packed, widths)
-        # uint64 addition wraps mod 2^64 and the final int32 cast is modular
-        # too, so adding the (two's-complement) refs in place is bit-identical
-        # to widening every delta to int64 first — without the extra pass.
-        # ``casting="unsafe"`` applies the same modular int32 -> uint64 cast
-        # as ``refs.astype(np.uint64)`` without materialising the temporary.
-        np.add(deltas, refs[:, None], out=deltas, casting="unsafe")
-        return deltas
-
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        values = self._decode_pages(payload, ctx)
-        return values.reshape(-1)[:count].astype(np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        values = self._decode_pages(payload, ctx).reshape(-1)
-        if values.size < count:
-            raise CorruptBlockError(
-                f"bit-packed pages hold {values.size} values, {count} declared"
-            )
-        np.copyto(out, values[:count], casting="unsafe")
+        return decode_pages(reader.blob(), refs, widths, count, ctx, sel, out)
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -349,35 +384,6 @@ class FastBP128(Scheme):
         if refs.size == 0 or refs.size != widths.size:
             return None
         return page_header_bounds(refs, widths)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
-        reader = Reader(payload)
-        refs = reader.array()
-        widths = reader.array()
-        packed = reader.blob()
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.empty(0, dtype=np.int32)
-        if refs.size != widths.size:
-            raise CorruptBlockError(
-                f"bit-packed header declares {refs.size} references for {widths.size} pages"
-            )
-        page_ids = positions // PAGE
-        uniq_pages = np.unique(page_ids)
-        if widths.size <= int(uniq_pages[-1]):
-            raise CorruptBlockError(
-                f"bit-packed pages hold {widths.size * PAGE} values, row {int(positions[-1])} selected"
-            )
-        deltas = unpack_pages_subset(packed, widths, uniq_pages)
-        # Same modular add + int32 cast as the full decode, restricted to the
-        # selected pages, so results stay bit-identical.
-        np.add(deltas, refs[uniq_pages][:, None], out=deltas, casting="unsafe")
-        rows = np.searchsorted(uniq_pages, page_ids)
-        return deltas[rows, positions % PAGE].astype(np.int32)
 
 
 FASTBP128_SCHEME = register_scheme(FastBP128())

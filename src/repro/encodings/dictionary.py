@@ -26,6 +26,7 @@ from repro.encodings.base import (
     Scheme,
     SchemeId,
     register_scheme,
+    write_out,
 )
 from repro.encodings.rle import _RLEBase, repeat_into
 from repro.encodings.wire import Reader, Writer, unwrap
@@ -76,6 +77,7 @@ class _NumericDict(Scheme):
     """Dictionary for int32 / float64 data."""
 
     name = "dictionary"
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         if stats.count == 0 or stats.distinct_count >= stats.count:
@@ -106,63 +108,51 @@ class _NumericDict(Scheme):
         size = 16 + codes_stored + corrected_pool
         return sample.nbytes / max(size, 32.0)
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        reader = Reader(payload)
-        uniq = reader.array()
-        codes_blob = reader.blob()
-        fused = _try_fused_rle(codes_blob, ctx)
-        if fused is not None:
-            run_codes, run_lengths = fused
-            return np.repeat(uniq[run_codes], run_lengths)
-        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER)
-        if ctx.vectorized:
-            return uniq[codes]
-        out = np.empty(count, dtype=uniq.dtype)
-        for i, code in enumerate(codes.tolist()):
-            out[i] = uniq[code]
-        return out
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        if not ctx.vectorized:
-            super().decompress_into(payload, count, ctx, out)
-            return
-        reader = Reader(payload)
-        uniq = reader.array()
-        codes_blob = reader.blob()
-        if uniq.dtype != out.dtype:
-            values = self.decompress(payload, count, ctx)
-            if len(values) != count:
-                raise FormatError(
-                    f"block declared {count} values but {self.name} decoded {len(values)}"
-                )
-            np.copyto(out, values, casting="unsafe")
-            return
-        fused = _try_fused_rle(codes_blob, ctx)
-        if fused is not None:
-            run_codes, run_lengths = fused
-            repeat_into(uniq[run_codes], np.asarray(run_lengths), count, out)
-            return
-        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER)
-        if len(codes) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(codes)}"
-            )
-        np.take(uniq, codes, out=out)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
     ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         uniq = reader.array()
         codes_blob = reader.blob()
-        codes = np.asarray(
-            ctx.decompress_child_filtered(codes_blob, ColumnType.INTEGER, positions)
+        fused = None if sel is not None else _try_fused_rle(codes_blob, ctx)
+        if fused is not None:
+            run_codes, run_lengths = fused
+            run_values = uniq[_checked_codes(run_codes, len(uniq))]
+            if out is None:
+                return np.repeat(run_values, run_lengths)
+            repeat_into(run_values, np.asarray(run_lengths), count, out)
+            return out
+        codes = _checked_codes(
+            ctx.decompress_child(codes_blob, ColumnType.INTEGER, sel=sel), len(uniq)
         )
-        return np.asarray(uniq)[codes]
+        if out is not None and uniq.dtype == out.dtype:
+            if len(codes) != len(out):
+                raise FormatError(
+                    f"block declared {count} values but {self.name} decoded {len(codes)}"
+                )
+            return np.take(uniq, codes, out=out)
+        if ctx.vectorized:
+            return write_out(uniq[codes], out)
+        values = np.empty(count, dtype=uniq.dtype)
+        for i, code in enumerate(codes.tolist()):
+            values[i] = uniq[code]
+        return values
+
+
+def _checked_codes(codes, pool_size: int) -> np.ndarray:
+    """Dictionary codes, held to ``[0, pool_size)``: NumPy indexing would
+    silently wrap a negative code onto the end of the pool."""
+    codes = np.asarray(codes)
+    if codes.size == 0:
+        return codes
+    if codes.dtype.kind == "i":
+        # Viewed unsigned, a negative code exceeds any pool: one pass.
+        bad = int(codes.view(f"u{codes.dtype.itemsize}").max()) >= pool_size
+    else:
+        bad = int(codes.min()) < 0 or int(codes.max()) >= pool_size
+    if bad:
+        raise FormatError("dictionary code out of pool range")
+    return codes
 
 
 def _try_fused_rle(codes_blob: bytes, ctx: DecompressionContext):
@@ -198,6 +188,7 @@ class DictString(Scheme):
     scheme_id = SchemeId.DICT_STRING
     name = "dictionary"
     ctype = ColumnType.STRING
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         if stats.count == 0:
@@ -258,15 +249,15 @@ class DictString(Scheme):
         from repro.encodings.fsst import FSST_SCHEME
 
         if kind == _POOL_FSST:
-            return FSST_SCHEME.decompress(data, count, ctx)
+            return FSST_SCHEME.decode(data, count, ctx)
         reader = Reader(data)
         return strutil.untrusted_strings(reader.array(), reader.array())
 
     def cached_pool(self, kind: int, data: bytes, count: int, ctx) -> StringArray:
         """The decoded pool, served from the content-addressed cache.
 
-        Used by the scan/filtered paths, where the same block's pool is
-        decoded once per predicate; the full ``decompress`` path keeps its
+        Used by the scan and selective-decode paths, where the same block's
+        pool is decoded once per predicate; a full decode keeps its
         cache-free behaviour (one decode per materialisation is already
         optimal there, and skipping the cache keeps its memory profile).
         """
@@ -278,38 +269,29 @@ class DictString(Scheme):
             cache.put(key, pool, pool.nbytes)
         return pool
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> StringArray:
         reader = Reader(payload)
         pool_kind = reader.u8()
         pool_count = reader.u32()
-        pool = self._decompress_pool(pool_kind, reader.blob(), pool_count, ctx)
+        pool_blob = reader.blob()
         codes_blob = reader.blob()
-        fused = _try_fused_rle(codes_blob, ctx)
+        if sel is None:
+            pool = self._decompress_pool(pool_kind, pool_blob, pool_count, ctx)
+            fused = _try_fused_rle(codes_blob, ctx)
+        else:
+            pool = self.cached_pool(pool_kind, pool_blob, pool_count, ctx)
+            fused = None
         if fused is not None:
             run_codes, run_lengths = fused
-            expanded = np.repeat(run_codes, run_lengths)
-            return strutil.gather(pool, expanded)
-        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER)
+            codes = np.repeat(_checked_codes(run_codes, len(pool)), run_lengths)
+        else:
+            codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, sel=sel)
+            codes = _checked_codes(codes, len(pool))
         if ctx.vectorized:
             return strutil.gather(pool, codes)
         return pool.take(codes)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> StringArray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
-        reader = Reader(payload)
-        pool_kind = reader.u8()
-        pool_count = reader.u32()
-        pool = self.cached_pool(pool_kind, reader.blob(), pool_count, ctx)
-        codes_blob = reader.blob()
-        codes = np.asarray(
-            ctx.decompress_child_filtered(codes_blob, ColumnType.INTEGER, positions)
-        )
-        if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= len(pool)):
-            raise FormatError("dictionary code out of pool range")
-        return strutil.gather(pool, codes)
 
 
 def read_numeric_dict(payload: bytes) -> "tuple[np.ndarray, bytes]":

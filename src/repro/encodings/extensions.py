@@ -60,7 +60,7 @@ class TruncationInt(Scheme):
         writer.array(deltas.astype(dtype))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         reader = Reader(payload)
         base = reader.i64()
         deltas = reader.array()
@@ -94,7 +94,7 @@ class DeltaZigZagInt(Scheme):
             writer.array(deltas)
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         reader = Reader(payload)
         first = reader.i64()
         cascaded = reader.u8()

@@ -27,12 +27,10 @@ from repro.encodings.base import (
 from repro.encodings.bitpack import (
     PAGE,
     bit_lengths,
+    decode_pages,
     pack_pages,
     page_header_bounds,
     paginate,
-    unpack_pages,
-    unpack_pages_scalar,
-    unpack_pages_subset,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError
@@ -72,6 +70,7 @@ class FastPFOR(Scheme):
     scheme_id = SchemeId.FAST_PFOR
     name = "fastpfor"
     ctype = ColumnType.INTEGER
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0
@@ -98,46 +97,36 @@ class FastPFOR(Scheme):
         writer.blob(pack_pages(packed_deltas, widths))
         return writer.getvalue()
 
-    def _decode_pages(self, payload: bytes, ctx: DecompressionContext) -> np.ndarray:
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> np.ndarray:
         reader = Reader(payload)
         refs = reader.array()
         widths = reader.array()
         exc_per_page = reader.array()
         exc_slots = reader.array()
         exc_values = reader.array()
-        packed = reader.blob()
-        if ctx.vectorized:
-            deltas = unpack_pages(packed, widths)
-            if exc_values.size:
-                exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
-                deltas[exc_pages, exc_slots] = exc_values
-        else:
-            deltas = unpack_pages_scalar(packed, widths)
-            exc_index = 0
-            for page, exc_count in enumerate(exc_per_page.tolist()):
-                for _ in range(exc_count):
-                    deltas[page, exc_slots[exc_index]] = exc_values[exc_index]
-                    exc_index += 1
-        # In-place modular add; bit-identical to widening to int64 first
-        # because the final int32 cast truncates mod 2^32 either way (the
-        # unsafe cast is the same modular int32 -> uint64 conversion as
-        # ``refs.astype(np.uint64)``, minus the temporary).
-        np.add(deltas, refs[:, None], out=deltas, casting="unsafe")
-        return deltas
-
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        values = self._decode_pages(payload, ctx)
-        return values.reshape(-1)[:count].astype(np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        values = self._decode_pages(payload, ctx).reshape(-1)
-        if values.size < count:
+        if sel is not None and sel.size and exc_per_page.size != widths.size:
             raise CorruptBlockError(
-                f"bit-packed pages hold {values.size} values, {count} declared"
+                f"patched header declares {exc_per_page.size} exception counts "
+                f"for {widths.size} pages"
             )
-        np.copyto(out, values[:count], casting="unsafe")
+
+        def patch(deltas: np.ndarray, pages: "np.ndarray | None") -> None:
+            if not exc_values.size:
+                return
+            exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
+            if pages is not None:
+                hit = np.isin(exc_pages, pages)
+                rows = np.searchsorted(pages, exc_pages[hit])
+                deltas[rows, exc_slots[hit]] = exc_values[hit]
+            elif ctx.vectorized:
+                deltas[exc_pages, exc_slots] = exc_values
+            else:
+                for i, page in enumerate(exc_pages.tolist()):
+                    deltas[page, exc_slots[i]] = exc_values[i]
+
+        return decode_pages(reader.blob(), refs, widths, count, ctx, sel, out, patch)
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -170,43 +159,6 @@ class FastPFOR(Scheme):
             )
             hi = max(hi, int((refs[exc_pages].astype(np.int64) + exc_deltas).max()))
         return lo, hi
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
-        reader = Reader(payload)
-        refs = reader.array()
-        widths = reader.array()
-        exc_per_page = reader.array()
-        exc_slots = reader.array()
-        exc_values = reader.array()
-        packed = reader.blob()
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.empty(0, dtype=np.int32)
-        if refs.size != widths.size or exc_per_page.size != widths.size:
-            raise CorruptBlockError(
-                f"patched header declares {refs.size} references / "
-                f"{exc_per_page.size} exception counts for {widths.size} pages"
-            )
-        page_ids = positions // PAGE
-        uniq_pages = np.unique(page_ids)
-        if widths.size <= int(uniq_pages[-1]):
-            raise CorruptBlockError(
-                f"patched pages hold {widths.size * PAGE} values, row {int(positions[-1])} selected"
-            )
-        deltas = unpack_pages_subset(packed, widths, uniq_pages)
-        if exc_values.size:
-            exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
-            sel = np.isin(exc_pages, uniq_pages)
-            if sel.any():
-                exc_rows = np.searchsorted(uniq_pages, exc_pages[sel])
-                deltas[exc_rows, exc_slots[sel]] = exc_values[sel]
-        np.add(deltas, refs[uniq_pages][:, None], out=deltas, casting="unsafe")
-        rows = np.searchsorted(uniq_pages, page_ids)
-        return deltas[rows, positions % PAGE].astype(np.int32)
 
 
 FASTPFOR_SCHEME = register_scheme(FastPFOR())

@@ -20,6 +20,7 @@ from repro.encodings.base import (
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
+from repro.exceptions import CorruptBlockError
 from repro.types import ColumnType, StringArray
 
 
@@ -27,6 +28,7 @@ class _FrequencyBase(Scheme):
     """Shared top-value/bitmap/exceptions logic for numeric types."""
 
     name = "frequency"
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         if stats.count == 0 or stats.distinct_count <= 1:
@@ -54,51 +56,49 @@ class _FrequencyBase(Scheme):
         writer.blob(ctx.compress_child(exceptions, self.ctype))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        reader = Reader(payload)
-        top_value = reader.array()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exceptions = ctx.decompress_child(reader.blob(), self.ctype)
-        mask = bitmap.to_mask(count)
-        if ctx.vectorized:
-            out = np.empty(count, dtype=top_value.dtype)
-            out[mask] = top_value[0]
-            out[~mask] = exceptions
-            return out
-        out = np.empty(count, dtype=top_value.dtype)
-        exc_pos = 0
-        for i in range(count):
-            if mask[i]:
-                out[i] = top_value[0]
-            else:
-                out[i] = exceptions[exc_pos]
-                exc_pos += 1
-        return out
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
     ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         top_value = reader.array()
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
         mask = bitmap.to_mask(count)
-        positions = np.asarray(positions, dtype=np.int64)
-        sel_top = mask[positions]
-        out = np.empty(positions.size, dtype=top_value.dtype)
-        if sel_top.any():
-            out[sel_top] = top_value[0]
-        exc_positions = positions[~sel_top]
-        if exc_positions.size:
-            # Rank of each selected exception among all exceptions = its row
-            # in the cascaded exceptions child; the child then decodes only
-            # those rows.
-            exc_ranks = np.cumsum(~mask)[exc_positions] - 1
-            exceptions = ctx.decompress_child_filtered(exc_blob, self.ctype, exc_ranks)
-            out[~sel_top] = np.asarray(exceptions)
+        if not ctx.vectorized:
+            exceptions = ctx.decompress_child(exc_blob, self.ctype)
+            values = np.empty(count, dtype=top_value.dtype)
+            exc_pos = 0
+            for i in range(count):
+                if mask[i]:
+                    values[i] = top_value[0]
+                else:
+                    values[i] = exceptions[exc_pos]
+                    exc_pos += 1
+            return values
+        top_rows, exc_ranks = _split_selection(mask, sel)
+        if out is None:
+            out = np.empty(len(top_rows), dtype=top_value.dtype)
+        out[top_rows] = top_value[0]
+        if exc_ranks is None or exc_ranks.size:
+            exceptions = ctx.decompress_child(exc_blob, self.ctype, sel=exc_ranks)
+            if len(exceptions) != len(top_rows) - int(top_rows.sum()):
+                raise CorruptBlockError("frequency exceptions do not match the bitmap")
+            out[~top_rows] = exceptions
         return out
+
+
+def _split_selection(mask: np.ndarray, sel: "np.ndarray | None"):
+    """``(top_rows, exc_ranks)`` for a selection over a top-value ``mask``.
+
+    ``top_rows`` flags which selected rows hold the top value. Each other
+    selected row's rank among all exceptions is its row in the cascaded
+    exceptions child, so the child decodes only ``exc_ranks``; ``None``
+    means every exception (a full decode).
+    """
+    if sel is None:
+        return mask, None
+    top_rows = mask[sel]
+    return top_rows, np.cumsum(~mask)[sel[~top_rows]] - 1
 
 
 class FrequencyInt(_FrequencyBase):
@@ -117,6 +117,7 @@ class FrequencyString(Scheme):
     scheme_id = SchemeId.FREQUENCY_STRING
     name = "frequency"
     ctype = ColumnType.STRING
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         if stats.count == 0 or stats.distinct_count <= 1:
@@ -136,40 +137,23 @@ class FrequencyString(Scheme):
         writer.blob(ctx.compress_child(exceptions, ColumnType.STRING))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
-        reader = Reader(payload)
-        top = reader.blob()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exceptions = ctx.decompress_child(reader.blob(), ColumnType.STRING)
-        mask = bitmap.to_mask(count)
-        # Treat [top] + exceptions as a pool and gather: code 0 is the top
-        # value, exception i maps to pool row 1 + i.
-        pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
-        codes = np.zeros(count, dtype=np.int64)
-        codes[~mask] = 1 + np.arange(len(exceptions), dtype=np.int64)
-        if ctx.vectorized:
-            return strutil.gather(pool, codes)
-        return pool.take(codes)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
     ) -> StringArray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         top = reader.blob()
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
-        mask = bitmap.to_mask(count)
-        positions = np.asarray(positions, dtype=np.int64)
-        sel_top = mask[positions]
-        exc_positions = positions[~sel_top]
-        exc_ranks = np.cumsum(~mask)[exc_positions] - 1
-        exceptions = ctx.decompress_child_filtered(exc_blob, ColumnType.STRING, exc_ranks)
+        top_rows, exc_ranks = _split_selection(bitmap.to_mask(count), sel)
+        exceptions = ctx.decompress_child(exc_blob, ColumnType.STRING, sel=exc_ranks)
+        # Treat [top] + exceptions as a pool and gather: code 0 is the top
+        # value, exception i maps to pool row 1 + i.
         pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
-        codes = np.zeros(positions.size, dtype=np.int64)
-        codes[~sel_top] = 1 + np.arange(len(exceptions), dtype=np.int64)
-        return strutil.gather(pool, codes)
+        codes = np.zeros(len(top_rows), dtype=np.int64)
+        codes[~top_rows] = 1 + np.arange(len(exceptions), dtype=np.int64)
+        if ctx.vectorized:
+            return strutil.gather(pool, codes)
+        return pool.take(codes)
 
 
 register_scheme(FrequencyInt())

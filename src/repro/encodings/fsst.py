@@ -435,7 +435,7 @@ class FSSTString(Scheme):
         writer.blob(ctx.compress_child(lengths, ColumnType.INTEGER))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
         reader = Reader(payload)
         _symbol_count = reader.u8()
         symbols = strutil.untrusted_strings(reader.array(), reader.array())

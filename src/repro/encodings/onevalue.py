@@ -25,6 +25,7 @@ class OneValueInt(Scheme):
     scheme_id = SchemeId.ONE_VALUE_INT
     name = "one_value"
     ctype = ColumnType.INTEGER
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.distinct_count == 1
@@ -32,14 +33,14 @@ class OneValueInt(Scheme):
     def compress(self, values: np.ndarray, ctx: CompressionContext) -> bytes:
         return Writer().i64(int(values[0])).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> np.ndarray:
         value = Reader(payload).i64()
-        return np.full(count, value, dtype=np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        out.fill(np.int32(Reader(payload).i64()))
+        if out is None:
+            return np.full(_wanted(count, sel), value, dtype=np.int32)
+        out.fill(np.int32(value))
+        return out
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -50,17 +51,12 @@ class OneValueInt(Scheme):
             return None
         return value, value
 
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        value = Reader(payload).i64()
-        return np.full(len(positions), value, dtype=np.int32)
-
 
 class OneValueDouble(Scheme):
     scheme_id = SchemeId.ONE_VALUE_DOUBLE
     name = "one_value"
     ctype = ColumnType.DOUBLE
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.distinct_count == 1
@@ -69,9 +65,18 @@ class OneValueDouble(Scheme):
         # Store the exact bit pattern so NaN payloads and -0.0 round-trip.
         return Writer().array(np.asarray(values[:1], dtype=np.float64)).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> np.ndarray:
         value = Reader(payload).array()
-        return np.repeat(value, count)
+        if value.size != 1:
+            raise CorruptBlockError(
+                f"one_value payload holds {value.size} values, expected 1"
+            )
+        if out is None:
+            return np.repeat(value, _wanted(count, sel))
+        out.fill(value[0])
+        return out
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -85,31 +90,12 @@ class OneValueDouble(Scheme):
         v = float(value[0])
         return v, v
 
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        value = Reader(payload).array()
-        if value.size != 1:
-            raise CorruptBlockError(
-                f"one_value payload holds {value.size} values, expected 1"
-            )
-        out.fill(value[0])
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        value = Reader(payload).array()
-        if value.size != 1:
-            raise CorruptBlockError(
-                f"one_value payload holds {value.size} values, expected 1"
-            )
-        return np.repeat(value, len(positions))
-
 
 class OneValueString(Scheme):
     scheme_id = SchemeId.ONE_VALUE_STRING
     name = "one_value"
     ctype = ColumnType.STRING
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.distinct_count == 1
@@ -117,20 +103,19 @@ class OneValueString(Scheme):
     def compress(self, values: StringArray, ctx: CompressionContext) -> bytes:
         return Writer().blob(values[0]).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
-        value = Reader(payload).blob()
-        buffer = np.frombuffer(value * count, dtype=np.uint8)
-        offsets = np.arange(count + 1, dtype=np.int64) * len(value)
-        return StringArray(buffer, offsets)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
     ) -> StringArray:
         value = Reader(payload).blob()
-        n = len(positions)
+        n = _wanted(count, sel)
         buffer = np.frombuffer(value * n, dtype=np.uint8)
         offsets = np.arange(n + 1, dtype=np.int64) * len(value)
         return StringArray(buffer, offsets)
+
+
+def _wanted(count: int, sel: "np.ndarray | None") -> int:
+    """How many values a decode with selection ``sel`` returns."""
+    return count if sel is None else len(sel)
 
 
 register_scheme(OneValueInt())

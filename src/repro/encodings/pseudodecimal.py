@@ -112,7 +112,7 @@ class Pseudodecimal(Scheme):
         writer.array(patches)
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         reader = Reader(payload)
         digits = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
         exponents = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)

@@ -18,6 +18,7 @@ from repro.encodings.base import (
     Scheme,
     SchemeId,
     register_scheme,
+    write_out,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError, FormatError
@@ -66,6 +67,7 @@ class _RLEBase(Scheme):
     """Shared RLE implementation; subclasses fix the value type."""
 
     name = "rle"
+    selective = True
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.avg_run_length >= config.rle_min_avg_run_length
@@ -89,38 +91,34 @@ class _RLEBase(Scheme):
             raise CorruptBlockError("RLE run arrays do not match the run count")
         return run_values, run_lengths
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel=None, out=None
+    ) -> np.ndarray:
+        if sel is not None:
+            return write_out(self._decode_selected(payload, count, ctx, sel), out)
         run_values, run_lengths = self.decode_runs(payload, ctx, self.ctype)
+        if out is not None:
+            repeat_into(np.asarray(run_values), np.asarray(run_lengths), count, out)
+            return out
         if ctx.vectorized:
             return np.repeat(run_values, run_lengths)
-        out = np.empty(count, dtype=run_values.dtype)
+        values = np.empty(count, dtype=run_values.dtype)
         pos = 0
         for value, length in zip(run_values.tolist(), run_lengths.tolist()):
             for i in range(length):
-                out[pos + i] = value
+                values[pos + i] = value
             pos += length
-        return out
+        return values
 
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        if not ctx.vectorized:
-            super().decompress_into(payload, count, ctx, out)
-            return
-        run_values, run_lengths = self.decode_runs(payload, ctx, self.ctype)
-        repeat_into(np.asarray(run_values), np.asarray(run_lengths), count, out)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    def _decode_selected(
+        self, payload: bytes, count: int, ctx: DecompressionContext, sel: np.ndarray
     ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         run_count = reader.u32()
         values_blob = reader.blob()
         lengths_blob = reader.blob()
         # Lengths must decode fully (they define the run geometry), but the
-        # run *values* decode filtered: only runs intersecting the selection.
+        # run *values* decode selectively: only runs intersecting ``sel``.
         run_lengths = np.asarray(ctx.decompress_child(lengths_blob, ColumnType.INTEGER))
         if len(run_lengths) != run_count:
             raise CorruptBlockError("RLE run arrays do not match the run count")
@@ -132,10 +130,9 @@ class _RLEBase(Scheme):
             raise FormatError(
                 f"block declared {count} values but rle runs cover {total}"
             )
-        positions = np.asarray(positions, dtype=np.int64)
-        run_ids = np.searchsorted(ends, positions, side="right")
+        run_ids = np.searchsorted(ends, sel, side="right")
         uniq_runs = np.unique(run_ids)
-        run_values = ctx.decompress_child_filtered(values_blob, self.ctype, uniq_runs)
+        run_values = ctx.decompress_child(values_blob, self.ctype, sel=uniq_runs)
         return np.asarray(run_values)[np.searchsorted(uniq_runs, run_ids)]
 
 

@@ -18,28 +18,14 @@ from repro.encodings.base import (
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
-from repro.exceptions import FormatError
 from repro.types import ColumnType, StringArray
 
 
 class _UncompressedNumeric(Scheme):
     """Shared raw-array behaviour for the two numeric terminators."""
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         return Reader(payload).array()
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        # The take itself is the only possible saving here; the point of
-        # overriding is the cheap length check (the default would decode,
-        # check and take identically, but through one extra dispatch).
-        values = Reader(payload).array()
-        if values.size != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {values.size}"
-            )
-        return values[positions]
 
 
 class UncompressedInt(_UncompressedNumeric):
@@ -76,7 +62,7 @@ class UncompressedString(Scheme):
         # (string buffers stay far below 2 GiB at 64k values per block).
         return Writer().array(values.buffer).array(values.offsets.astype(np.int32)).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
+    def decode(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
         reader = Reader(payload)
         buffer = reader.array()
         return untrusted_strings(buffer, reader.array())

@@ -46,9 +46,7 @@ from repro.core.config import (
 )
 from repro.core.decompressor import (
     assemble_column,
-    assemble_column_preallocated,
     decode_block,
-    decode_block_into,
     make_context,
     preallocate_column,
 )
@@ -228,10 +226,10 @@ def decompress_relation_parallel(
     every task. Numeric columns take the zero-copy path: each column's full
     array is preallocated up front and every block task decodes into its own
     disjoint slice, so workers never contend and reassembly is a metadata
-    pass (:func:`assemble_column_preallocated`) instead of a concatenation.
-    On the process backend that preallocated array lives in shared memory
-    and workers are other processes — same layout, real cores. String
-    columns (and the scalar ablation) keep the legacy per-block parts.
+    pass (:func:`assemble_column` over the filled array) instead of a
+    concatenation. On the process backend that preallocated array lives in
+    shared memory and workers are other processes — same layout, real
+    cores. String columns keep per-block parts.
 
     ``on_corrupt`` applies the same checksum/degradation policy as the
     sequential API on every backend. It also decides the worker-death
@@ -266,9 +264,7 @@ def decompress_relation_parallel(
 
     ctx = make_context(vectorized, limits=limits)
     buffers = [
-        preallocate_column(column, ctx.limits)
-        if vectorized and column.ctype is not ColumnType.STRING
-        else None
+        preallocate_column(column, ctx.limits) if column.ctype is not ColumnType.STRING else None
         for column in compressed.columns
     ]
     tasks: list[tuple[int, int, int]] = []
@@ -283,15 +279,8 @@ def decompress_relation_parallel(
         column = compressed.columns[col_idx]
         block = column.blocks[block_idx]
         buffer = buffers[col_idx]
-        if buffer is None:
-            return decode_block(block, column.ctype, ctx, on_corrupt=on_corrupt)
-        return decode_block_into(
-            block,
-            column.ctype,
-            ctx,
-            buffer[start : start + block.count],
-            on_corrupt=on_corrupt,
-        )
+        out = None if buffer is None else buffer[start : start + block.count]
+        return decode_block(block, column.ctype, ctx, out=out, on_corrupt=on_corrupt)
 
     with registry.timer("decompress.parallel"):
         parts = _run_tasks(worker, tasks, max_workers)
@@ -299,9 +288,7 @@ def decompress_relation_parallel(
     for (col_idx, _, _), values in zip(tasks, parts):
         grouped[col_idx].append(values)
     columns = [
-        assemble_column_preallocated(column, buffer, column_parts)
-        if buffer is not None
-        else assemble_column(column, column_parts)
+        assemble_column(column, column_parts, buffer)
         for column, buffer, column_parts in zip(compressed.columns, buffers, grouped)
     ]
     return Relation(compressed.name, columns)

@@ -13,11 +13,11 @@ column bytes are ever pickled:
   Each worker task rebuilds its :class:`~repro.core.blocks.CompressedBlock`
   from an input-segment slice and decodes straight into its disjoint
   output-segment slice via
-  :func:`~repro.core.decompressor.decode_block_into` — the zero-copy ``out=``
-  API retargeted at shared pages. Only tiny per-block results (``None`` /
+  :func:`~repro.core.decompressor.decode_block`'s zero-copy ``out=``,
+  retargeted at shared pages. Only tiny per-block results (``None`` /
   :class:`~repro.core.decompressor.CorruptBlockResult`) cross the pipe.
-  String columns (and the scalar ablation) have variable-size outputs, so
-  their decoded values are pickled back instead.
+  String columns have variable-size outputs, so their decoded values are
+  pickled back instead.
 
 * **Compress** — the parent packs each column's raw values (and serialized
   NULL bitmap) into the input segment; each worker task slices its block
@@ -58,10 +58,9 @@ from repro.core.compressor import compress_chunk_block, iter_block_ranges
 from repro.core.config import BtrBlocksConfig, DecodeLimits
 from repro.core.decompressor import (
     _EMPTY_DTYPES,
+    CorruptBlockResult,
     assemble_column,
-    assemble_column_preallocated,
     decode_block,
-    decode_block_into,
     make_context,
     preallocate_column,
 )
@@ -293,7 +292,7 @@ def _decode_task(job, task):
 
     Returns ``(index, part)`` where ``part`` is ``None`` (success, rows are
     in the output segment), a :class:`CorruptBlockResult` (degraded), or the
-    decoded values themselves for pickled-return (string / scalar) tasks.
+    decoded values themselves for pickled-return (string) tasks.
     Typed decode errors propagate through the future unchanged, so error
     behaviour matches the thread backend exactly.
     """
@@ -310,17 +309,20 @@ def _decode_task(job, task):
     ctype = ctypes[col_idx]
     ctx = make_context(vectorized, limits=limits)
     _maybe_kill("mid-decode")
-    if out_off is None:
-        part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
-        _maybe_kill("pre-assemble")
-        return index, part
-    seg_out = _attach_segment(out_name)
+    seg_out = None if out_off is None else _attach_segment(out_name)
     try:
-        out = np.ndarray((count,), dtype=_EMPTY_DTYPES[ctype], buffer=seg_out.buf, offset=out_off)
-        part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
+        out = None
+        if seg_out is not None:
+            out = np.ndarray(
+                (count,), dtype=_EMPTY_DTYPES[ctype], buffer=seg_out.buf, offset=out_off
+            )
+        part = decode_block(block, ctype, ctx, out=out, on_corrupt=on_corrupt)
+        if out is not None and not isinstance(part, CorruptBlockResult):
+            part = None  # the rows are in the output segment
         del out
     finally:
-        _close_quiet(seg_out)
+        if seg_out is not None:
+            _close_quiet(seg_out)
     _maybe_kill("pre-assemble")
     return index, part
 
@@ -341,9 +343,7 @@ def decompress_relation_process(
     totals are recorded once by the parent-side assembly, exactly as there.
     """
     columns = compressed.columns
-    prealloc = [
-        vectorized and column.ctype is not ColumnType.STRING for column in columns
-    ]
+    prealloc = [column.ctype is not ColumnType.STRING for column in columns]
     in_total = 0
     for column in columns:
         for block in column.blocks:
@@ -426,10 +426,7 @@ def decompress_relation_process(
             grouped[task[1]].append(result[1])
         out_columns = []
         for column, view, parts in zip(columns, views, grouped):
-            if view is not None:
-                assembled = assemble_column_preallocated(column, view, parts)
-            else:
-                assembled = assemble_column(column, parts)
+            assembled = assemble_column(column, parts, view)
             data = assembled.data
             if isinstance(data, np.ndarray) and not data.flags.owndata:
                 # Still a view over the output segment — copy out before the

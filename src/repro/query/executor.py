@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn
-from repro.core.decompressor import decode_block_filtered, make_context
-from repro.encodings.base import DecompressionContext, SchemeId, get_scheme
+from repro.core.decompressor import decode_block, make_context
+from repro.encodings.base import DecompressionContext, SchemeId
 from repro.encodings.bitpack import PAGE
 from repro.encodings.rle import _RLEBase
 from repro.encodings.wire import Reader, unwrap
@@ -104,7 +104,7 @@ def _scan_node(
     if scheme_id in _FREQUENCY:
         return _scan_frequency(payload, count, ctype, predicate, ctx)
     if scheme_id in _BITPACKED:
-        return _scan_bitpacked(scheme_id, payload, count, predicate, ctx)
+        return _scan_bitpacked(blob, ctype, predicate, ctx)
     values = ctx.decompress_child(blob, ctype)
     return np.asarray(predicate.evaluate(values), dtype=bool)
 
@@ -372,20 +372,19 @@ def _page_bounds(scheme_id: int, payload: bytes):
 
 
 def _scan_bitpacked(
-    scheme_id: int, payload: bytes, count: int, predicate: Predicate,
-    ctx: DecompressionContext,
+    blob: bytes, ctype: ColumnType, predicate: Predicate, ctx: DecompressionContext
 ) -> np.ndarray:
     """Bit-packed scan with page-granular reject/accept from headers alone.
 
     Pages whose conservative interval cannot match are skipped without
     unpacking a word; pages whose interval always matches are accepted the
     same way; only undecided pages are unpacked (and only they), through
-    the selection-vector kernel.
+    the selection-vector decode.
     """
-    scheme = get_scheme(scheme_id)
+    scheme_id, count, payload = unwrap(blob)
     bounds = _page_bounds(scheme_id, payload)
     if bounds is None:
-        values = scheme.decompress(payload, count, ctx)
+        values = ctx.decompress_child(blob, ctype)
         return np.asarray(predicate.evaluate(values), dtype=bool)
     lo, hi = bounds
     registry = get_registry()
@@ -407,7 +406,7 @@ def _scan_bitpacked(
     if undecided.size:
         rows = (undecided[:, None] * PAGE + np.arange(PAGE, dtype=np.int64)).reshape(-1)
         rows = rows[rows < count]
-        values = scheme.decompress_filtered(payload, count, ctx, rows)
+        values = ctx.decompress_child(blob, ctype, sel=rows)
         mask[rows] = predicate.evaluate(values)
     return mask[:count]
 
@@ -436,7 +435,7 @@ def iter_matching_positions(
     control which blocks are seen (zone-map pruning on the remote path skips
     some) and what offsets they sit at. Blocks with no hits are consumed
     silently; hit rows are block-local, sorted and unique, ready for
-    :func:`~repro.core.decompressor.decode_block_filtered`.
+    :func:`~repro.core.decompressor.decode_block`'s ``sel``.
     """
     for block, offset in block_iter:
         nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
@@ -501,9 +500,7 @@ def filter_column(
     for block, _offset, hits in iter_matching_positions(
         _verified_blocks(), compressed.ctype, predicate
     ):
-        values = decode_block_filtered(
-            block, compressed.ctype, ctx, hits, on_corrupt=on_corrupt
-        )
+        values = decode_block(block, compressed.ctype, ctx, sel=hits, on_corrupt=on_corrupt)
         if isinstance(values, CorruptBlockResult):
             continue  # degrade policies drop the block's matches
         parts.append(values)

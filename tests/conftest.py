@@ -60,5 +60,5 @@ def scheme_round_trip(scheme, values, config=None, vectorized=True):
     selector = SchemeSelector(config)
     ctx = compression_context(selector)
     payload = scheme.compress(values, ctx)
-    out = scheme.decompress(payload, len(values), decompression_context(vectorized))
+    out = scheme.decode(payload, len(values), decompression_context(vectorized))
     return payload, out

@@ -6,6 +6,11 @@ import pytest
 from repro.bitmap import RoaringBitmap
 from repro.core.access import read_rows, read_value
 from repro.core.compressor import compress_column
+from repro.core.config import BtrBlocksConfig
+from repro.core.decompressor import decompress_column
+from repro.core.file_format import column_from_bytes, column_to_bytes
+from repro.encodings.base import SchemeId
+from repro.exceptions import IntegrityError
 from repro.types import Column
 
 
@@ -65,6 +70,33 @@ class TestReadRows:
         compressed = compress_column(column, small_config)
         out = read_rows(compressed, [10, 1500])
         assert out.nulls.to_array().tolist() == [1]
+
+
+class TestReadRowsIntegrity:
+    def test_flipped_payload_byte_raises_like_a_full_decode(self, rng):
+        """A point read holds its block to the stored CRC32, as a full
+        decode does, instead of returning the damaged value."""
+        values = rng.integers(-(2**31), 2**31, 2000).astype(np.int32)
+        config = BtrBlocksConfig(
+            block_size=1000, allowed_schemes=frozenset({SchemeId.UNCOMPRESSED_INT})
+        )
+        compressed = column_from_bytes(
+            column_to_bytes(compress_column(Column.ints("c", values), config))
+        )
+        block = compressed.blocks[0]
+        assert block.root_scheme_name == "uncompressed"
+        payload = bytearray(block.data)
+        payload[-1] ^= 0x01  # the high byte of row 999
+        block.data = bytes(payload)
+
+        with pytest.raises(IntegrityError):
+            decompress_column(compressed)
+        with pytest.raises(IntegrityError):
+            read_rows(compressed, [999])
+        with pytest.raises(IntegrityError):
+            read_value(compressed, 999)
+        # The undamaged block still answers.
+        assert read_rows(compressed, [1500]).data.tolist() == [values[1500]]
 
 
 class TestReadValue:

@@ -3,7 +3,7 @@
 The compressed-domain executor answers predicates without materialising
 values (code-space compilation, per-run RLE evaluation, page-header
 reject/accept), and the selection-vector decode materialises only chosen
-rows (``decode_block_filtered``). Both are pure optimisations, so this
+rows (``decode_block(..., sel=)``). Both are pure optimisations, so this
 suite locks down the only property that matters: they can never change an
 answer. Every check compares against an oracle computed independently over
 the uncompressed data:
@@ -12,7 +12,7 @@ the uncompressed data:
   crafted to steer the selector into every scheme family (and their
   cascades), four NULL layouts and every predicate type;
 * ``filter_column`` values == decompress-evaluate-gather, bit-for-bit;
-* ``decode_block_filtered(positions)`` == full decode + take, for random
+* ``decode_block(sel=positions)`` == full decode + take, for random
   selections, on every block of every shape;
 * ``RemoteTable.scan`` / ``scan_pipelined`` with conjunctions == the same
   oracle, over a committed table;
@@ -38,7 +38,6 @@ from repro.core.compressor import compress_column, compress_relation
 from repro.core.decompressor import (
     CorruptBlockResult,
     decode_block,
-    decode_block_filtered,
     decompress_column,
     make_context,
 )
@@ -259,7 +258,7 @@ def test_scan_and_filter_match_oracle(shape, null_layout):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_filtered_decode_matches_full_decode_take(shape):
-    """decode_block_filtered(positions) == decode + take, on every block."""
+    """decode_block(sel=positions) == decode + take, on every block."""
     rng = np.random.default_rng(SEED + 1)
     column = _make_column(shape, "none")
     compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
@@ -270,7 +269,7 @@ def test_filtered_decode_matches_full_decode_take(shape):
             if size > block.count:
                 continue
             positions = np.sort(rng.choice(block.count, size=size, replace=False))
-            got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+            got = decode_block(block, compressed.ctype, ctx, sel=positions)
             expected = _gather(compressed.ctype, full, positions)
             assert _values_equal(compressed.ctype, got, expected), (shape, size)
 
@@ -293,11 +292,11 @@ def test_filtered_decode_positions_contract():
     ctx = make_context()
     block = compressed.blocks[0]
     with pytest.raises(CorruptBlockError):
-        decode_block_filtered(
-            block, compressed.ctype, ctx, np.asarray([block.count], dtype=np.int64)
+        decode_block(
+            block, compressed.ctype, ctx, sel=np.asarray([block.count], dtype=np.int64)
         )
     with pytest.raises(CorruptBlockError):
-        decode_block_filtered(block, compressed.ctype, ctx, np.asarray([-1], dtype=np.int64))
+        decode_block(block, compressed.ctype, ctx, sel=np.asarray([-1], dtype=np.int64))
 
 
 def test_filtered_decode_counters_scale_with_selectivity():
@@ -412,11 +411,11 @@ def test_corrupt_block_filtered_decode_matrix(shape):
     positions = np.asarray([0, 1, min(5, block.count - 1)], dtype=np.int64)
 
     with pytest.raises(IntegrityError):
-        decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="raise")
-    skipped = decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="skip")
+        decode_block(block, compressed.ctype, ctx, sel=positions, on_corrupt="raise")
+    skipped = decode_block(block, compressed.ctype, ctx, sel=positions, on_corrupt="skip")
     assert isinstance(skipped, CorruptBlockResult) and len(skipped) == 0
-    nulled = decode_block_filtered(
-        block, compressed.ctype, ctx, positions, on_corrupt="null_block"
+    nulled = decode_block(
+        block, compressed.ctype, ctx, sel=positions, on_corrupt="null_block"
     )
     assert isinstance(nulled, CorruptBlockResult) and len(nulled) == positions.size
 
@@ -474,7 +473,7 @@ def test_raw_node_flips_never_hang_filtered_decode(shape):
         damaged[int(offset)] ^= 0x40
         clone = type(block)(count=block.count, data=bytes(damaged), nulls=block.nulls)
         try:
-            result = decode_block_filtered(clone, compressed.ctype, ctx, positions)
+            result = decode_block(clone, compressed.ctype, ctx, sel=positions)
         except acceptable:
             continue
         assert len(result) == positions.size, f"offset {int(offset)}"

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.blocks import CompressedBlock, CompressedColumn
 from repro.core.config import BtrBlocksConfig
+from repro.core.decompressor import decode_block, decompress_block, decompress_column, make_context
 from repro.core.stats import compute_stats
 from repro.encodings.base import SchemeId, get_scheme
-from repro.encodings.wire import unwrap
+from repro.encodings.wire import Writer, unwrap, wrap
+from repro.exceptions import FormatError
 from repro.types import ColumnType, StringArray
 
 from conftest import scheme_round_trip
@@ -130,3 +133,73 @@ class TestFusedRLEDict:
         )
         _, out = scheme_round_trip(DICT_STRING, sa)
         assert out == sa
+
+
+def _raw_ints(values) -> bytes:
+    return wrap(
+        SchemeId.UNCOMPRESSED_INT,
+        len(values),
+        Writer().array(np.asarray(values, dtype=np.int32)).getvalue(),
+    )
+
+
+def _codes_blob(codes, run_length: int) -> bytes:
+    """Codes stored raw, or as RLE runs long enough for the fused path."""
+    if run_length == 1:
+        return _raw_ints(codes)
+    lengths = [run_length] * len(codes)
+    payload = (
+        Writer().u32(len(codes)).blob(_raw_ints(codes)).blob(_raw_ints(lengths)).getvalue()
+    )
+    return wrap(SchemeId.RLE_INT, len(codes) * run_length, payload)
+
+
+def _dict_block(ctype: ColumnType, codes, run_length: int) -> bytes:
+    """A hand-built, checksum-less dictionary block over a 3-entry pool."""
+    count = len(codes) * run_length
+    codes_blob = _codes_blob(codes, run_length)
+    if ctype is ColumnType.STRING:
+        pool = StringArray.from_pylist([b"ten", b"twenty", b"thirty"])
+        pool_blob = Writer().array(pool.buffer).array(pool.offsets).getvalue()
+        payload = Writer().u8(0).u32(3).blob(pool_blob).blob(codes_blob).getvalue()
+        return wrap(SchemeId.DICT_STRING, count, payload)
+    if ctype is ColumnType.INTEGER:
+        pool, scheme_id = np.array([10, 20, 30], dtype=np.int32), SchemeId.DICT_INT
+    else:
+        pool, scheme_id = np.array([1.0, 2.0, 3.0]), SchemeId.DICT_DOUBLE
+    return wrap(scheme_id, count, Writer().array(pool).blob(codes_blob).getvalue())
+
+
+class TestCodesOutOfPoolRange:
+    """A code outside ``[0, len(pool))`` is damage: NumPy indexing would
+    wrap -1 onto the last pool entry and return a plausible wrong value."""
+
+    TYPES = [ColumnType.INTEGER, ColumnType.DOUBLE, ColumnType.STRING]
+
+    @pytest.mark.parametrize("run_length", [1, 4], ids=["raw_codes", "fused_rle_codes"])
+    @pytest.mark.parametrize("bad_code", [-1, 3])
+    @pytest.mark.parametrize("ctype", TYPES, ids=lambda t: t.value)
+    def test_full_and_preallocated_decode_raise(self, ctype, bad_code, run_length):
+        blob = _dict_block(ctype, [0, bad_code, 2], run_length)
+        with pytest.raises(FormatError):
+            decompress_block(blob, ctype)
+        column = CompressedColumn("c", ctype, [CompressedBlock(3 * run_length, blob)])
+        with pytest.raises(FormatError):
+            decompress_column(column)
+
+    @pytest.mark.parametrize("bad_code", [-1, 3])
+    @pytest.mark.parametrize("ctype", TYPES, ids=lambda t: t.value)
+    def test_selective_decode_raises(self, ctype, bad_code):
+        block = CompressedBlock(3, _dict_block(ctype, [0, bad_code, 2], 1))
+        with pytest.raises(FormatError):
+            decode_block(block, ctype, make_context(), sel=np.arange(3))
+
+    @pytest.mark.parametrize("ctype", TYPES, ids=lambda t: t.value)
+    def test_in_range_codes_still_decode(self, ctype):
+        expected = {
+            ColumnType.INTEGER: [10, 20, 30],
+            ColumnType.DOUBLE: [1.0, 2.0, 3.0],
+            ColumnType.STRING: [b"ten", b"twenty", b"thirty"],
+        }[ctype]
+        got = decompress_block(_dict_block(ctype, [0, 1, 2], 1), ctype)
+        assert list(got) == expected

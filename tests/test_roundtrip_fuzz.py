@@ -204,7 +204,7 @@ def test_all_null_columns_round_trip():
 def scheme_round_trip(scheme, values, vectorized=True):
     selector = SchemeSelector()
     payload = scheme.compress(values, make_context(selector))
-    return scheme.decompress(payload, len(values), decode_context(vectorized))
+    return scheme.decode(payload, len(values), decode_context(vectorized))
 
 
 def _constant(values):
